@@ -16,6 +16,14 @@ winner.  Three paths measure the identical phase scripts:
   fused adjacency-row/coverage-column recompute, one union-find
   labeling pass, CSR giant-coverage counts, and O(nnz) commit updates.
 
+A fourth arm times the opposite end of the kernels' range: a
+one-candidate (``K=1``) compiled ``measure_phase`` at paper scale and a
+compiled ``Evaluator.evaluate`` on ``city_spec(256, 20000)``, each in
+:data:`K1_PROCESSES` fresh processes.  Each process reports its median
+latency, and the arm fails if any paper-scale median exceeds
+:data:`K1_MAX_MEDIAN_SECONDS` — the signature of a parallel region that
+woke a thread team for one loop iteration.
+
 The script asserts bit-identical measurement rows across all three
 paths before timing.  The one-time cost of building the shared library
 and first-call binding is measured separately as *warm-up* and excluded
@@ -33,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import statistics
+import subprocess
 import sys
 import time
 
@@ -41,8 +50,15 @@ import numpy as np
 from _common import add_json_argument, write_bench_json
 from repro.core.engine import StackedEngine
 from repro.core.engine.stacked import StackedDeltaEngine
+from repro.core.evaluation import Evaluator
 from repro.core.solution import Placement
-from repro.instances.catalog import city_spec
+from repro.instances.catalog import city_spec, paper_normal
+
+#: Fresh processes of the one-candidate arm, calls timed in each, and
+#: the gate on every process's paper-scale median.
+K1_PROCESSES = 8
+K1_CALLS = 200
+K1_MAX_MEDIAN_SECONDS = 1e-3
 
 
 def build_phase_scripts(problem, incumbents, n_candidates, n_phases, seed):
@@ -121,6 +137,66 @@ def run_stacked(problem, scripts):
         times.append(time.perf_counter() - start)
         rows.append(measurement)
     return times, rows
+
+
+def k1_medians() -> tuple[float, float]:
+    """This process's median one-candidate latencies, in seconds.
+
+    ``(paper measure_phase, city evaluate)``: a compiled
+    :class:`StackedDeltaEngine` phase of one relocation on
+    ``paper_normal``, and a compiled scalar evaluation on
+    ``city_spec(256, 20000)``.
+    """
+    rng = np.random.default_rng(0)
+    problem = paper_normal().generate()
+    incumbent = Placement.random(problem.grid, problem.n_routers, rng)
+    engine = StackedDeltaEngine(problem, engine="compiled")
+    engine.reset_chain(0, incumbent)
+    phase_times = []
+    for _ in range(K1_CALLS):
+        router = int(rng.integers(problem.n_routers))
+        cell = problem.grid.random_free_cell(incumbent.occupied, rng)
+        item = (0, (router,), ((float(cell.x), float(cell.y)),))
+        start = time.perf_counter()
+        engine.measure_phase([item])
+        phase_times.append(time.perf_counter() - start)
+
+    city = city_spec(256, 20_000).generate()
+    evaluator = Evaluator(city, engine="compiled")
+    placements = [
+        Placement.random(city.grid, city.n_routers, rng) for _ in range(8)
+    ]
+    evaluate_times = []
+    for index in range(K1_CALLS // 4):
+        placement = placements[index % len(placements)]
+        start = time.perf_counter()
+        evaluator.evaluate(placement)
+        evaluate_times.append(time.perf_counter() - start)
+    return statistics.median(phase_times), statistics.median(evaluate_times)
+
+
+def run_k1_arm() -> tuple[list[float], list[float]]:
+    """:func:`k1_medians` in :data:`K1_PROCESSES` fresh processes.
+
+    A fresh process per sample, because a stalled thread team is a
+    per-process condition: some processes stall on most calls, others
+    never.
+    """
+    code = (
+        f"import sys; sys.path[:0] = {sys.path!r}; "
+        "from bench_engine_compiled import k1_medians; "
+        "print(*k1_medians())"
+    )
+    paper, city = [], []
+    for _ in range(K1_PROCESSES):
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True,
+        )
+        phase, evaluate = out.stdout.split()[-2:]
+        paper.append(float(phase))
+        city.append(float(evaluate))
+    return paper, city
 
 
 def check_parity(reference, candidate, name):
@@ -237,6 +313,13 @@ def main(argv: "list[str] | None" = None) -> int:
         f"compiled vs numpy delta: {speedup_delta:.2f}x"
     )
 
+    k1_paper, k1_city = run_k1_arm()
+    print(f"K=1 medians over {K1_PROCESSES} fresh processes (ms):")
+    print("  paper measure_phase: "
+          + " ".join(f"{value * 1e3:.3f}" for value in k1_paper))
+    print("  city evaluate:       "
+          + " ".join(f"{value * 1e3:.3f}" for value in k1_city))
+
     write_bench_json(
         "engine_compiled",
         {
@@ -260,16 +343,29 @@ def main(argv: "list[str] | None" = None) -> int:
             "speedup_vs_stacked": speedup,
             "speedup_vs_dense_delta": speedup_delta,
             "min_speedup_gate": gate,
+            "k1_paper_phase_medians_seconds": k1_paper,
+            "k1_city_evaluate_medians_seconds": k1_city,
+            "k1_max_median_gate_seconds": K1_MAX_MEDIAN_SECONDS,
         },
         args.json,
     )
 
+    status = 0
     if speedup < gate:
         print(f"FAIL: compiled speedup {speedup:.2f}x below required "
               f"{gate:.1f}x")
-        return 1
-    print(f"OK: compiled speedup {speedup:.2f}x >= {gate:.1f}x")
-    return 0
+        status = 1
+    else:
+        print(f"OK: compiled speedup {speedup:.2f}x >= {gate:.1f}x")
+    if max(k1_paper) > K1_MAX_MEDIAN_SECONDS:
+        print(f"FAIL: a fresh process's K=1 paper-scale median "
+              f"{max(k1_paper) * 1e3:.3f} ms exceeds "
+              f"{K1_MAX_MEDIAN_SECONDS * 1e3:.1f} ms")
+        status = 1
+    else:
+        print(f"OK: every K=1 paper-scale median <= "
+              f"{K1_MAX_MEDIAN_SECONDS * 1e3:.1f} ms")
+    return status
 
 
 if __name__ == "__main__":

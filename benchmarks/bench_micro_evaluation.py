@@ -14,7 +14,7 @@ from repro.adhoc import RandomPlacement
 from repro.core.connectivity import connected_components
 from repro.core.density import DensityMap
 from repro.core.evaluation import Evaluator
-from repro.core.network import adjacency_matrix, link_edges
+from repro.core.network import adjacency_matrix, edge_array
 from repro.instances.catalog import paper_normal
 
 
@@ -42,7 +42,7 @@ def test_micro_connected_components(benchmark):
     adjacency = adjacency_matrix(
         placement.positions_array(), problem.fleet.radii, problem.link_rule
     )
-    edges = link_edges(adjacency)
+    edges = edge_array(adjacency).tolist()
     benchmark(connected_components, problem.n_routers, edges)
 
 

@@ -10,7 +10,6 @@ density and the bi-objective fitness.
 from repro.core.clients import ClientSet, MeshClient
 from repro.core.connectivity import (
     ComponentStructure,
-    UnionFind,
     canonical_labels,
     connected_components,
     connected_components_from_arrays,
@@ -19,7 +18,6 @@ from repro.core.connectivity import (
 from repro.core.coverage import coverage_mask, coverage_matrix, covered_clients
 from repro.core.density import DensityMap
 from repro.core.engine import (
-    BatchEvaluator,
     DeltaEvaluator,
     SparseEngine,
     evaluate_batch,
@@ -35,7 +33,7 @@ from repro.core.fitness import (
 )
 from repro.core.geometry import Point, Rect, chebyshev, euclidean, euclidean_squared, manhattan
 from repro.core.grid import GridArea
-from repro.core.network import RouterNetwork, adjacency_matrix, edge_array, link_edges
+from repro.core.network import RouterNetwork, adjacency_matrix, edge_array
 from repro.core.pareto import ParetoArchive, ParetoPoint, dominates
 from repro.core.problem import ProblemInstance
 from repro.core.radio import CoverageRule, LinkRule, RadioProfile
@@ -46,12 +44,10 @@ __all__ = [
     "ClientSet",
     "MeshClient",
     "ComponentStructure",
-    "UnionFind",
     "canonical_labels",
     "connected_components",
     "connected_components_from_arrays",
     "giant_component_mask",
-    "BatchEvaluator",
     "DeltaEvaluator",
     "SparseEngine",
     "evaluate_batch",
@@ -77,7 +73,6 @@ __all__ = [
     "RouterNetwork",
     "adjacency_matrix",
     "edge_array",
-    "link_edges",
     "ParetoArchive",
     "ParetoPoint",
     "dominates",

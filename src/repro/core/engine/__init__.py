@@ -7,14 +7,16 @@ masks for the same placement:
 * **Scalar** — :class:`~repro.core.evaluation.Evaluator`.  The reference
   implementation; one placement per call.  Use it for one-off
   measurements and as the ground truth in tests.
-* **Batch** — :class:`BatchEvaluator` (and the pure
+* **Batch** — :meth:`Evaluator.evaluate_many
+  <repro.core.evaluation.Evaluator.evaluate_many>` (over the pure
   :func:`evaluate_batch`).  Stacks ``K`` candidate placements into
   ``(K, N, 2)`` tensors and evaluates them in one vectorized pass.  Use
   it whenever an algorithm holds a candidate *set*: a sampled
   neighborhood phase, a GA offspring generation.
 * **Delta** — :class:`DeltaEvaluator`.  Caches the incumbent's state and
   recomputes only what a move touches.  Use it for one-move-per-step
-  loops (simulated annealing, tabu search).
+  loops (simulated annealing, tabu search).  The state lives for one
+  run: a warm-started run rebuilds it from the warm placement.
 * **Sparse** — :class:`SparseEngine` (and the pure
   :func:`evaluate_sparse`).  Bins positions into a spatial grid and
   generates only neighbor-bin candidate pairs, replacing the
@@ -36,7 +38,7 @@ masks for the same placement:
   :func:`compiled_available` reports the kernels built, and falls back
   silently otherwise, so the tier never becomes a dependency.
 
-The scalar, batch and delta evaluators all take an ``engine`` argument
+The scalar and delta evaluators both take an ``engine`` argument
 (``"auto"`` default): :func:`select_engine` picks dense at paper scale
 and sparse above a size/density threshold (see
 :mod:`repro.core.engine.dispatch`), and the compiled tier reuses the
@@ -46,7 +48,6 @@ experiments is unaffected by which engine a search runs on.
 """
 
 from repro.core.engine.batch import (
-    BatchEvaluator,
     StackedMeasurement,
     batch_adjacency,
     batch_coverage,
@@ -72,7 +73,6 @@ from repro.core.engine.sparse import (
 from repro.core.engine.stacked import StackedEngine
 
 __all__ = [
-    "BatchEvaluator",
     "CompiledEngine",
     "DeltaEvaluator",
     "ENGINE_TIERS",

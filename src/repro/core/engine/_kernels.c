@@ -19,7 +19,9 @@
  * Candidate-stack kernels parallelize over candidates with OpenMP when
  * the toolchain supports it (each candidate writes disjoint output
  * rows, so the results are deterministic regardless of thread count);
- * without OpenMP they degrade to plain serial loops.
+ * without OpenMP they degrade to plain serial loops.  Every parallel
+ * region carries a PAR_WORTH work threshold, so small loops run on the
+ * calling thread.
  */
 
 #include <math.h>
@@ -32,6 +34,18 @@
 
 typedef int64_t i64;
 typedef uint8_t u8;
+
+/* Fork an OpenMP team only for a loop of at least two iterations and
+ * at least REPRO_PAR_MIN_WORK inner steps in total (pair tests, client
+ * scans, matrix cells).  Below that, waking the team and meeting at its
+ * barrier costs more than the loop, and on a loaded host a descheduled
+ * team thread can stall that barrier for milliseconds.  Measured on a
+ * 2-CPU x86_64 host: on paper-scale dense stacks a 2-thread team ties
+ * the calling thread at 3e4 steps (K=2) and wins from 6e4-9e4 (K=4-6);
+ * on city-scale delta rows it wins from 4e4 (P=2). */
+#define REPRO_PAR_MIN_WORK ((i64)1 << 15)
+#define PAR_WORTH(iterations, work) \
+    ((iterations) > 1 && (work) >= REPRO_PAR_MIN_WORK)
 
 /* ------------------------------------------------------------------ */
 /* Runtime introspection                                               */
@@ -174,7 +188,8 @@ void repro_measure_stack_dense(
     const i64 n = n_routers;
     const i64 m = n_clients;
 #ifdef _OPENMP
-#pragma omp parallel
+#pragma omp parallel \
+    if(PAR_WORTH(n_candidates, n_candidates * (n * n / 2 + m * n)))
 #endif
     {
         i64 *parent = (i64 *)malloc((size_t)(n > 0 ? n : 1) * sizeof(i64));
@@ -313,8 +328,10 @@ void repro_measure_stack_sparse(
     const i64 link_bins = link_nbx * link_nby;
     const i64 cov_bins = cov_nbx * cov_nby;
     const i64 scratch_bins = (link_bins > cov_bins ? link_bins : cov_bins) + 1;
+    /* Work: binning plus a 3x3 bin-ring scan per router and client. */
 #ifdef _OPENMP
-#pragma omp parallel
+#pragma omp parallel \
+    if(PAR_WORTH(n_candidates, n_candidates * 9 * (n + m)))
 #endif
     {
         i64 *parent = (i64 *)malloc((size_t)(n > 0 ? n : 1) * sizeof(i64));
@@ -495,7 +512,8 @@ void repro_delta_rows_cols(
     const i64 n = n_routers;
     const i64 m = n_clients;
 #ifdef _OPENMP
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) \
+    if(PAR_WORTH(n_pairs, n_pairs * (n + m)))
 #endif
     for (i64 p = 0; p < n_pairs; p++) {
         const i64 r = router_of_pair[p];
@@ -538,8 +556,10 @@ void repro_giant_covered(
 ) {
     const i64 n = n_routers;
     const i64 m = n_clients;
+    /* Work: one pass over the clients and their CSR hit lists. */
 #ifdef _OPENMP
-#pragma omp parallel
+#pragma omp parallel \
+    if(PAR_WORTH(n_candidates, n_candidates * (m + client_ptr[m])))
 #endif
     {
         int32_t *cnt = (int32_t *)malloc(
@@ -592,7 +612,7 @@ void repro_filter_pairs(
     u8 *keep
 ) {
 #ifdef _OPENMP
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) if(PAR_WORTH(n_pairs, n_pairs))
 #endif
     for (i64 p = 0; p < n_pairs; p++) {
         const i64 i = rows[p];
@@ -675,7 +695,8 @@ void repro_client_csr_fill(
     i64 *hit             /* ptr[M] */
 ) {
 #ifdef _OPENMP
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) \
+    if(PAR_WORTH(n_clients, n_clients * n_routers))
 #endif
     for (i64 c = 0; c < n_clients; c++) {
         i64 w = ptr[c];

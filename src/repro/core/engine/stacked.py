@@ -29,11 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.coverage import coverage_matrix
-from repro.core.engine.batch import (
-    DEFAULT_MAX_CHUNK,
-    StackedMeasurement,
-    measure_stack,
-)
+from repro.core.engine import batch
+from repro.core.engine.batch import StackedMeasurement, measure_stack
 from repro.core.engine.components import labels_from_edge_stack
 from repro.core.engine.dispatch import resolve_engine
 from repro.core.fitness import FitnessFunction, WeightedSumFitness
@@ -49,9 +46,10 @@ class StackedEngine:
     """Array-level candidate-stack evaluation with engine dispatch.
 
     Pure measurement: no evaluation counters, no archive — the search
-    layer on top owns the per-chain bookkeeping.  ``max_chunk`` bounds
-    the dense path's peak memory exactly like
-    :class:`~repro.core.engine.batch.BatchEvaluator`.
+    layer on top owns the per-chain bookkeeping.  The dense path
+    measures at most :data:`~repro.core.engine.batch.DEFAULT_MAX_CHUNK`
+    candidates per vectorized pass, bounding its peak memory exactly
+    like :meth:`~repro.core.evaluation.Evaluator.evaluate_many`.
     """
 
     def __init__(
@@ -59,13 +57,9 @@ class StackedEngine:
         problem: ProblemInstance,
         fitness: FitnessFunction | None = None,
         engine: str = "auto",
-        max_chunk: int = DEFAULT_MAX_CHUNK,
     ) -> None:
-        if max_chunk <= 0:
-            raise ValueError(f"max_chunk must be positive, got {max_chunk}")
         self._problem = problem
         self._fitness = fitness if fitness is not None else WeightedSumFitness()
-        self._max_chunk = max_chunk
         self._engine = resolve_engine(problem, engine)
         self._sparse = None
         self._compiled = None
@@ -151,15 +145,14 @@ class StackedEngine:
             # The fused kernels never materialize per-candidate tensors,
             # so no memory-bounding chunking is needed.
             return self._compiled_engine().measure_stack(positions)
-        if k <= self._max_chunk:
+        chunk = batch.DEFAULT_MAX_CHUNK
+        if k <= chunk:
             return measure_stack(self._problem, self._fitness, positions)
         chunks = [
             measure_stack(
-                self._problem,
-                self._fitness,
-                positions[start : start + self._max_chunk],
+                self._problem, self._fitness, positions[start : start + chunk]
             )
-            for start in range(0, k, self._max_chunk)
+            for start in range(0, k, chunk)
         ]
         return StackedMeasurement.concatenate(chunks)
 
@@ -215,7 +208,7 @@ class StackedEngine:
     def __repr__(self) -> str:
         return (
             f"StackedEngine(n_routers={self._problem.n_routers}, "
-            f"engine={self._engine!r}, max_chunk={self._max_chunk})"
+            f"engine={self._engine!r})"
         )
 
 

@@ -22,7 +22,7 @@ from repro.core.problem import ProblemInstance
 from repro.core.radio import LinkRule
 from repro.core.solution import Placement
 
-__all__ = ["adjacency_matrix", "edge_array", "link_edges", "RouterNetwork"]
+__all__ = ["adjacency_matrix", "edge_array", "RouterNetwork"]
 
 
 def adjacency_matrix(
@@ -64,16 +64,6 @@ def edge_array(adjacency: np.ndarray) -> np.ndarray:
     rows, cols = np.nonzero(adjacency)
     keep = rows < cols
     return np.column_stack((rows[keep], cols[keep])).astype(np.intp, copy=False)
-
-
-def link_edges(adjacency: np.ndarray) -> list[tuple[int, int]]:
-    """Upper-triangular edge list ``(i < j)`` of an adjacency matrix.
-
-    Compatibility wrapper over :func:`edge_array` for callers that want
-    Python tuples; performance-sensitive code should use the array form.
-    """
-    edges = edge_array(adjacency)
-    return [(int(i), int(j)) for i, j in edges]
 
 
 @dataclass(frozen=True)

@@ -187,12 +187,6 @@ class TestDeltaParity:
                 reference.propose(self._Move(candidate)),
             )
 
-    def test_export_cache_reports_layout(self):
-        problem = tiny_problem()
-        delta = DeltaEvaluator(Evaluator(problem), engine="compiled")
-        delta.reset(random_placements(problem, 1, seed=19)[0])
-        assert delta.export_cache().layout == "dense"
-
 
 @needs_kernels
 class TestStackedDeltaParity:

@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.engine import batch as batch_module
 from repro.core.engine import (
-    BatchEvaluator,
     DeltaEvaluator,
     SparseEngine,
     evaluate_batch,
@@ -61,7 +61,7 @@ class TestBatchParity:
         rng = np.random.default_rng(42)
         placements = random_placements(problem, rng, 12)
         scalar = Evaluator(problem)
-        batch = BatchEvaluator(problem)
+        batch = Evaluator(problem, engine="dense")
         scalar_evals = [scalar.evaluate(p) for p in placements]
         batch_evals = batch.evaluate_many(placements)
         for reference, candidate in zip(scalar_evals, batch_evals):
@@ -83,7 +83,7 @@ class TestBatchParity:
         placements = random_placements(problem, rng, 4)
         fitness = LexicographicFitness()
         scalar = Evaluator(problem, fitness)
-        batch = BatchEvaluator(problem, fitness)
+        batch = Evaluator(problem, fitness)
         for ref, got in zip(
             [scalar.evaluate(p) for p in placements],
             batch.evaluate_many(placements),
@@ -248,7 +248,7 @@ class TestSparseParityAtScale:
             problem = paper_spec(distribution, **params).generate()
             placements = random_placements(problem, rng, 3)
             scalar = Evaluator(problem, engine="dense")
-            batch = BatchEvaluator(problem, engine="dense")
+            batch = Evaluator(problem, engine="dense")
             references = [scalar.evaluate(p) for p in placements]
             for ref, got in zip(references, batch.evaluate_many(placements)):
                 assert_same_evaluation(ref, got)
@@ -265,7 +265,7 @@ class TestSparseParityAtScale:
         rng = np.random.default_rng(13)
         placements = random_placements(problem, rng, 3)
         scalar = Evaluator(problem, engine="dense")
-        sparse = BatchEvaluator(problem, engine="sparse")
+        sparse = Evaluator(problem, engine="sparse")
         references = [scalar.evaluate(p) for p in placements]
         for ref, got in zip(references, sparse.evaluate_many(placements)):
             assert_same_evaluation(ref, got)
@@ -279,9 +279,6 @@ class TestSparseParityAtScale:
         forced.evaluate_many(placements)
         forced.evaluate(placements[0])
         assert forced.n_evaluations == 6
-        batch = BatchEvaluator(problem, engine="sparse")
-        batch.evaluate_many(placements)
-        assert batch.n_evaluations == 5
 
 
 class TestCounterSemantics:
@@ -292,11 +289,12 @@ class TestCounterSemantics:
         evaluator.evaluate_many(random_placements(problem, rng, 7))
         assert evaluator.n_evaluations == 7
 
-    def test_batch_evaluator_counts_and_chunks(self):
+    def test_evaluate_many_counts_and_chunks(self, monkeypatch):
         problem = make_problem(LinkRule.OVERLAP, CoverageRule.ANY_ROUTER)
         rng = np.random.default_rng(2)
         placements = random_placements(problem, rng, 9)
-        batch = BatchEvaluator(problem, max_chunk=4)
+        monkeypatch.setattr(batch_module, "DEFAULT_MAX_CHUNK", 4)
+        batch = Evaluator(problem, engine="dense")
         chunked = batch.evaluate_many(placements)
         assert batch.n_evaluations == 9
         unchunked = evaluate_batch(problem, WeightedSumFitness(), placements)
@@ -376,7 +374,7 @@ class TestValidation:
         rng = np.random.default_rng(4)
         short = Placement.random(problem.grid, problem.n_routers - 1, rng)
         with pytest.raises(ValueError):
-            BatchEvaluator(problem).evaluate_many([short])
+            Evaluator(problem, engine="dense").evaluate_many([short])
 
     def test_delta_requires_reset(self):
         problem = make_problem(LinkRule.BIDIRECTIONAL, CoverageRule.GIANT_ONLY)
@@ -385,8 +383,3 @@ class TestValidation:
             delta.propose(RelocateMove(router_id=0, target=None))
         with pytest.raises(ValueError):
             delta.incumbent
-
-    def test_batch_evaluator_rejects_bad_chunk(self):
-        problem = make_problem(LinkRule.BIDIRECTIONAL, CoverageRule.GIANT_ONLY)
-        with pytest.raises(ValueError):
-            BatchEvaluator(problem, max_chunk=0)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.engine import StackedEngine, measure_stack
+from repro.core.engine import StackedEngine, batch, measure_stack
 from repro.core.engine.components import (
     labels_from_edge_stack,
     labels_from_edges,
@@ -67,12 +67,11 @@ class TestStackedEngine:
             by_positions.giant_sizes, by_placement.giant_sizes
         )
 
-    def test_chunking_preserves_rows(self, problem):
+    def test_chunking_preserves_rows(self, problem, monkeypatch):
         placements = random_placements(problem, 9, seed=5)
         whole = StackedEngine(problem).measure_placements(placements)
-        chunked = StackedEngine(problem, max_chunk=4).measure_placements(
-            placements
-        )
+        monkeypatch.setattr(batch, "DEFAULT_MAX_CHUNK", 4)
+        chunked = StackedEngine(problem).measure_placements(placements)
         assert np.array_equal(whole.fitness, chunked.fitness)
         assert np.array_equal(whole.covered_clients, chunked.covered_clients)
 

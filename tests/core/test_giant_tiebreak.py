@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.engine import BatchEvaluator, DeltaEvaluator, SparseEngine
+from repro.core.engine import DeltaEvaluator, SparseEngine
 from repro.core.evaluation import Evaluator
 from repro.core.geometry import Point
 from repro.core.problem import ProblemInstance
@@ -60,7 +60,7 @@ class TestExactGiantTie:
         # covered.
         assert scalar.covered_clients == 1
 
-        batch = BatchEvaluator(problem, engine="dense").evaluate(placement)
+        batch = Evaluator(problem, engine="dense").evaluate_many([placement])[0]
         sparse = SparseEngine(problem).evaluate(placement)
         for other in (batch, sparse):
             assert other.metrics == scalar.metrics

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.geometry import Point
 from repro.core.grid import GridArea
-from repro.core.network import RouterNetwork, adjacency_matrix, link_edges
+from repro.core.network import RouterNetwork, adjacency_matrix, edge_array
 from repro.core.problem import ProblemInstance
 from repro.core.radio import LinkRule
 from repro.core.routers import RouterFleet
@@ -87,6 +87,8 @@ class TestAdjacencyMatrix:
 
 
 class TestLinkEdges:
+    """The upper-triangular ``(i < j)`` link edges of an adjacency matrix."""
+
     def test_upper_triangular(self):
         adj = np.array(
             [
@@ -95,10 +97,12 @@ class TestLinkEdges:
                 [False, True, False],
             ]
         )
-        assert link_edges(adj) == [(0, 1), (1, 2)]
+        edges = edge_array(adj)
+        assert edges.dtype == np.intp
+        assert edges.tolist() == [[0, 1], [1, 2]]
 
     def test_empty(self):
-        assert link_edges(np.zeros((3, 3), dtype=bool)) == []
+        assert edge_array(np.zeros((3, 3), dtype=bool)).shape == (0, 2)
 
 
 class TestRouterNetwork:
@@ -149,7 +153,7 @@ class TestRouterNetwork:
         network = RouterNetwork.build(tiny_problem, placement)
         graph = nx.Graph()
         graph.add_nodes_from(range(tiny_problem.n_routers))
-        graph.add_edges_from(link_edges(network.adjacency))
+        graph.add_edges_from(edge_array(network.adjacency).tolist())
         assert network.giant_size == max(
             len(c) for c in nx.connected_components(graph)
         )

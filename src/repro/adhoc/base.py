@@ -18,6 +18,7 @@ assign *specific* routers (by power) to specific zones, overrides
 from __future__ import annotations
 
 import abc
+import functools
 from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
@@ -25,7 +26,7 @@ import numpy as np
 from repro.core.geometry import Point
 from repro.core.grid import GridArea
 from repro.core.problem import ProblemInstance
-from repro.core.solution import Placement
+from repro.core.solution import Placement, has_shared_cells
 
 __all__ = [
     "AdHocMethod",
@@ -45,10 +46,28 @@ class MethodNotApplicableError(ValueError):
     """
 
 
+@functools.lru_cache(maxsize=None)
+def _ring_offsets(radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(dx, dy)`` of the Chebyshev ring at ``radius``, in scan order.
+
+    The top and bottom rows first (``dx`` ascending, ``dy = -r`` before
+    ``dy = +r``), then the left and right columns without the corners
+    (``dy`` ascending, ``dx = -r`` before ``dx = +r``).
+    """
+    span = np.arange(-radius, radius + 1)
+    inner = np.arange(-radius + 1, radius)
+    sides = np.array([-radius, radius])
+    dx = np.concatenate([np.repeat(span, 2), np.tile(sides, len(inner))])
+    dy = np.concatenate([np.tile(sides, len(span)), np.repeat(inner, 2)])
+    dx.setflags(write=False)  # cached and shared by every call
+    dy.setflags(write=False)
+    return dx, dy
+
+
 def nudge_to_free(
     grid: GridArea,
     cell: Point,
-    taken: set[Point],
+    taken: "set[Point] | np.ndarray",
     rng: np.random.Generator,
     max_radius: int | None = None,
 ) -> Point:
@@ -56,26 +75,24 @@ def nudge_to_free(
 
     Pattern anchors of different routers can coincide (short diagonals,
     small corner zones); the colliding router is nudged to the closest
-    free cell so the pattern stays visually intact.
+    free cell so the pattern stays visually intact.  ``taken`` is a set
+    of cells or a :meth:`~repro.core.grid.GridArea.occupancy` bitmap.
     """
     start = grid.bounds.clamped(cell)
-    if start not in taken:
+    bitmap = taken if isinstance(taken, np.ndarray) else grid.occupancy(taken)
+    if not bitmap[start.y, start.x]:
         return start
     limit = max_radius if max_radius is not None else max(grid.width, grid.height)
     for radius in range(1, limit + 1):
-        ring: list[Point] = []
-        for dx in range(-radius, radius + 1):
-            for dy in (-radius, radius):
-                candidate = Point(start.x + dx, start.y + dy)
-                if grid.contains(candidate) and candidate not in taken:
-                    ring.append(candidate)
-        for dy in range(-radius + 1, radius):
-            for dx in (-radius, radius):
-                candidate = Point(start.x + dx, start.y + dy)
-                if grid.contains(candidate) and candidate not in taken:
-                    ring.append(candidate)
-        if ring:
-            return ring[int(rng.integers(0, len(ring)))]
+        dx, dy = _ring_offsets(radius)
+        xs = start.x + dx
+        ys = start.y + dy
+        inside = (xs >= 0) & (xs < grid.width) & (ys >= 0) & (ys < grid.height)
+        xs, ys = xs[inside], ys[inside]
+        free = np.flatnonzero(~bitmap[ys, xs])
+        if free.size:
+            pick = int(free[int(rng.integers(0, free.size))])
+            return Point(int(xs[pick]), int(ys[pick]))
     raise ValueError("no free cell available on the grid")
 
 
@@ -85,12 +102,26 @@ def resolve_collisions(
     rng: np.random.Generator,
     taken: Sequence[Point] = (),
 ) -> list[Point]:
-    """Make ``cells`` distinct (and distinct from ``taken``) by nudging."""
-    occupied = set(taken)
+    """Make ``cells`` distinct (and distinct from ``taken``) by nudging.
+
+    Cells are placed in order, each nudged to the nearest free cell of
+    the grid.  When every cell is already inside the grid, distinct and
+    clear of ``taken``, nothing moves and no random number is drawn.
+    """
+    cells = list(cells)
+    occupied = grid.occupancy(taken)
+    coords = np.array(cells, dtype=np.int64).reshape(-1, 2)
+    xs, ys = coords[:, 0], coords[:, 1]
+    if (
+        ((xs >= 0) & (xs < grid.width) & (ys >= 0) & (ys < grid.height)).all()
+        and not occupied[ys, xs].any()
+        and not has_shared_cells(grid, coords)
+    ):
+        return cells
     resolved: list[Point] = []
     for cell in cells:
         placed = nudge_to_free(grid, cell, occupied, rng)
-        occupied.add(placed)
+        occupied[placed.y, placed.x] = True
         resolved.append(placed)
     return resolved
 

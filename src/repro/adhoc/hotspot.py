@@ -90,7 +90,7 @@ class HotSpotPlacement(AdHocMethod):
         quotas = self._zone_quotas(density, zones, n)
 
         cells: dict[int, Point] = {}
-        taken: set[Point] = set()
+        taken = grid.occupancy(())
         ranked_routers = problem.fleet.by_power_descending()
         rank = 0
         for zone, quota in zip(zones, quotas):
@@ -101,7 +101,7 @@ class HotSpotPlacement(AdHocMethod):
                 # spread randomly within it.
                 anchor = zone.center if slot == 0 else grid.random_cell_in(zone, rng)
                 cell = nudge_to_free(grid, anchor, taken, rng)
-                taken.add(cell)
+                taken[cell.y, cell.x] = True
                 cells[router.router_id] = cell
         return Placement.from_cells(grid, [cells[i] for i in range(n)])
 

@@ -370,7 +370,7 @@ def evaluate_batch(
                 f"placement positions {len(placement)} routers but the fleet "
                 f"has {n}"
             )
-    positions = np.stack([p.positions_array() for p in placements])
+    positions = np.stack([p.coords for p in placements]).astype(float)
     measurement = measure_stack(problem, fitness, positions)
     return [
         measurement.evaluation(index, placement)

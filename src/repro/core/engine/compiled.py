@@ -708,7 +708,7 @@ class CompiledEngine:
                     f"placement positions {len(placement)} routers but the "
                     f"fleet has {n}"
                 )
-        stack = np.stack([p.positions_array() for p in placements])
+        stack = np.stack([p.coords for p in placements]).astype(float)
         measurement = self.measure_stack(stack)
         return [
             measurement.evaluation(index, placement)

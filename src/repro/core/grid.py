@@ -83,6 +83,26 @@ class GridArea:
             raise ValueError(f"cell index {index} out of range")
         return Point(index % self.width, index // self.width)
 
+    def cell_indices(self, coords: np.ndarray) -> np.ndarray:
+        """Row-major linear indices of an ``(N, 2)`` array of in-grid cells."""
+        return coords[:, 1] * self.width + coords[:, 0]
+
+    def occupancy(self, cells: "Iterable[Point] | np.ndarray") -> np.ndarray:
+        """``(height, width)`` boolean bitmap of the in-grid ``cells``.
+
+        ``bitmap[y, x]`` is set for every listed cell; cells outside the
+        grid are ignored.  The GA operators and the collision repair
+        test and update occupancy on this bitmap.
+        """
+        bitmap = np.zeros((self.height, self.width), dtype=bool)
+        if not isinstance(cells, np.ndarray):
+            cells = list(cells)
+        coords = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
+        xs, ys = coords[:, 0], coords[:, 1]
+        inside = (xs >= 0) & (xs < self.width) & (ys >= 0) & (ys < self.height)
+        bitmap[ys[inside], xs[inside]] = True
+        return bitmap
+
     # ------------------------------------------------------------------
     # Aspect / applicability checks used by the ad hoc methods
     # ------------------------------------------------------------------
@@ -167,35 +187,43 @@ class GridArea:
 
     def random_free_cell(
         self,
-        occupied: Iterable[Point],
+        occupied: "Iterable[Point] | np.ndarray",
         rng: np.random.Generator,
         within: Rect | None = None,
     ) -> Point:
         """A uniformly random unoccupied cell, optionally inside ``within``.
 
-        Uses rejection sampling with a fallback to exhaustive enumeration
-        so it terminates even when the free cells are scarce.
+        ``occupied`` is a set of cells or an :meth:`occupancy` bitmap.
+        Uses rejection sampling (up to 64 draws of ``x`` then ``y``) with
+        a fallback to a random pick among the region's free cells in
+        row-major order, so it terminates even when free cells are
+        scarce.
         """
-        region = self.bounds if within is None else within.intersection(self.bounds)
-        if region.area == 0:
-            raise ValueError("sampling region is empty")
-        # Placements pass their cached frozenset; copying it per call is
-        # pure overhead on the proposal hot path.
-        if isinstance(occupied, (set, frozenset)):
-            occupied_set = occupied
+        if within is None:
+            x0, y0, x1, y1 = 0, 0, self.width, self.height
         else:
-            occupied_set = set(occupied)
+            x0, y0 = max(within.x0, 0), max(within.y0, 0)
+            x1, y1 = min(within.x1, self.width), min(within.y1, self.height)
+        if x1 <= x0 or y1 <= y0:
+            raise ValueError("sampling region is empty")
+        bitmap = occupied if isinstance(occupied, np.ndarray) else None
+        if bitmap is None and not isinstance(occupied, (set, frozenset)):
+            occupied = set(occupied)
         # Rejection sampling is fast when occupancy is sparse (the common
         # case: N routers << W*H cells).
-        max_attempts = 64
-        for _ in range(max_attempts):
-            candidate = self.random_cell_in(region, rng)
-            if candidate not in occupied_set:
-                return candidate
-        free = [cell for cell in region.cells() if cell not in occupied_set]
-        if not free:
+        draw = rng.integers
+        for _ in range(64):
+            x = int(draw(x0, x1))
+            y = int(draw(y0, y1))
+            if not (bitmap[y, x] if bitmap is not None else (x, y) in occupied):
+                return Point(x, y)
+        if bitmap is None:
+            bitmap = self.occupancy(occupied)
+        free = np.flatnonzero(~bitmap[y0:y1, x0:x1])
+        if not free.size:
             raise ValueError("no free cell available in the requested region")
-        return free[int(rng.integers(0, len(free)))]
+        offset = int(free[int(rng.integers(0, free.size))])
+        return Point(x0 + offset % (x1 - x0), y0 + offset // (x1 - x0))
 
     def sample_distinct_cells(
         self,
@@ -206,8 +234,10 @@ class GridArea:
     ) -> list[Point]:
         """Sample ``count`` distinct free cells uniformly at random."""
         region = self.bounds if within is None else within.intersection(self.bounds)
-        taken = set(occupied)
-        available = region.area - sum(1 for cell in taken if region.contains(cell))
+        taken = self.occupancy(occupied)
+        available = region.area - int(
+            taken[region.y0 : region.y1, region.x0 : region.x1].sum()
+        )
         if count > available:
             raise ValueError(
                 f"cannot place {count} nodes in a region with only "
@@ -217,5 +247,5 @@ class GridArea:
         for _ in range(count):
             cell = self.random_free_cell(taken, rng, within=region)
             chosen.append(cell)
-            taken.add(cell)
+            taken[cell.y, cell.x] = True
         return chosen

@@ -3,7 +3,9 @@
 ``run_all`` executes the whole evaluation section of the paper —
 Tables 1-3, Figures 1-3 (GA initializer study) and Figure 4
 (neighborhood search) — and renders each artifact as text and CSV.
-Used by the CLI (``wmn-placement reproduce``) and by EXPERIMENTS.md.
+The CLI runs it: ``wmn-placement reproduce --scale paper --csv-dir DIR``
+writes the paper-scale report to stdout and one CSV per artifact into
+``DIR`` (``--scale quick`` is the fast default).
 """
 
 from __future__ import annotations

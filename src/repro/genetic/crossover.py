@@ -1,9 +1,13 @@
 """Crossover operators.
 
 A chromosome is the vector of router cells, so crossover mixes the
-positions two parents assign to each router.  Children can inherit
-colliding cells (two routers on one cell); the shared ``_repair`` step
-nudges collisions apart, preserving the placement invariants.
+positions two parents assign to each router.  The operators build each
+child as an ``(N, 2)`` cell array from the parents' arrays.  A child can
+inherit colliding cells (two routers on one cell): a linear-cell-index
+check finds those children, and only they go through
+:func:`~repro.adhoc.base.resolve_collisions`, which nudges the
+collisions apart.  A child without a collision becomes a placement
+directly and draws no random numbers.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ import numpy as np
 
 from repro.adhoc.base import resolve_collisions
 from repro.core.geometry import Point, Rect
-from repro.core.solution import Placement
+from repro.core.grid import GridArea
+from repro.core.solution import Placement, has_shared_cells
 
 __all__ = [
     "CrossoverOperator",
@@ -25,8 +30,11 @@ __all__ = [
 ]
 
 
-def _repair(grid, cells: list[Point], rng: np.random.Generator) -> Placement:
-    """Nudge duplicate cells apart and build a valid placement."""
+def _child(grid: GridArea, coords: np.ndarray, rng: np.random.Generator) -> Placement:
+    """A placement of ``coords``, with colliding cells nudged apart."""
+    if not has_shared_cells(grid, coords):
+        return Placement(grid, coords)
+    cells = [Point(x, y) for x, y in coords.tolist()]
     return Placement.from_cells(grid, resolve_collisions(grid, cells, rng))
 
 
@@ -78,17 +86,10 @@ class UniformCrossover(CrossoverOperator):
         rng: np.random.Generator,
     ) -> tuple[Placement, Placement]:
         self._check_parents(parent_a, parent_b)
-        take_b = rng.uniform(size=len(parent_a)) < self.mix_rate
-        child1 = [
-            parent_b[i] if take_b[i] else parent_a[i] for i in range(len(parent_a))
-        ]
-        child2 = [
-            parent_a[i] if take_b[i] else parent_b[i] for i in range(len(parent_a))
-        ]
-        return (
-            _repair(parent_a.grid, child1, rng),
-            _repair(parent_a.grid, child2, rng),
-        )
+        take_b = (rng.uniform(size=len(parent_a)) < self.mix_rate)[:, np.newaxis]
+        a, b = parent_a.coords, parent_b.coords
+        child1 = _child(parent_a.grid, np.where(take_b, b, a), rng)
+        return child1, _child(parent_a.grid, np.where(take_b, a, b), rng)
 
     def __repr__(self) -> str:
         return f"UniformCrossover(mix_rate={self.mix_rate})"
@@ -108,12 +109,18 @@ class OnePointCrossover(CrossoverOperator):
         self._check_parents(parent_a, parent_b)
         n = len(parent_a)
         cut = int(rng.integers(1, n)) if n > 1 else 0
-        child1 = list(parent_a.cells[:cut]) + list(parent_b.cells[cut:])
-        child2 = list(parent_b.cells[:cut]) + list(parent_a.cells[cut:])
-        return (
-            _repair(parent_a.grid, child1, rng),
-            _repair(parent_a.grid, child2, rng),
+        a, b = parent_a.coords, parent_b.coords
+        child1 = _child(parent_a.grid, np.concatenate([a[:cut], b[cut:]]), rng)
+        return child1, _child(
+            parent_a.grid, np.concatenate([b[:cut], a[cut:]]), rng
         )
+
+
+def _inside(coords: np.ndarray, region: Rect) -> np.ndarray:
+    """``(N, 1)`` mask of the rows of ``coords`` inside ``region``."""
+    xs, ys = coords[:, 0], coords[:, 1]
+    inside = (xs >= region.x0) & (xs < region.x1) & (ys >= region.y0) & (ys < region.y1)
+    return inside[:, np.newaxis]
 
 
 class RegionExchangeCrossover(CrossoverOperator):
@@ -139,7 +146,7 @@ class RegionExchangeCrossover(CrossoverOperator):
         self.min_fraction = min_fraction
         self.max_fraction = max_fraction
 
-    def _random_region(self, grid, rng: np.random.Generator) -> Rect:
+    def _random_region(self, grid: GridArea, rng: np.random.Generator) -> Rect:
         width = max(
             1,
             int(
@@ -164,17 +171,10 @@ class RegionExchangeCrossover(CrossoverOperator):
     ) -> tuple[Placement, Placement]:
         self._check_parents(parent_a, parent_b)
         region = self._random_region(parent_a.grid, rng)
-        child1 = [
-            parent_a[i] if region.contains(parent_a[i]) else parent_b[i]
-            for i in range(len(parent_a))
-        ]
-        child2 = [
-            parent_b[i] if region.contains(parent_b[i]) else parent_a[i]
-            for i in range(len(parent_a))
-        ]
-        return (
-            _repair(parent_a.grid, child1, rng),
-            _repair(parent_a.grid, child2, rng),
+        a, b = parent_a.coords, parent_b.coords
+        child1 = _child(parent_a.grid, np.where(_inside(a, region), a, b), rng)
+        return child1, _child(
+            parent_a.grid, np.where(_inside(b, region), b, a), rng
         )
 
     def __repr__(self) -> str:

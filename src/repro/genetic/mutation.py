@@ -63,27 +63,25 @@ class JiggleMutation(MutationOperator):
 
     def mutate(self, placement: Placement, rng: np.random.Generator) -> Placement:
         grid = placement.grid
-        cells = list(placement.cells)
-        occupied = set(cells)
-        for router_id in range(len(cells)):
-            if rng.uniform() >= self.per_gene_rate:
+        coords = placement.coords.copy()
+        occupied = grid.occupancy(coords)
+        radius, side = self.radius, 2 * self.radius + 1
+        # ``random()`` is ``uniform()`` on [0, 1): the same draw, cheaper.
+        draw = rng.random
+        for router_id in range(len(coords)):
+            if draw() >= self.per_gene_rate:
                 continue
-            current = cells[router_id]
-            window = Rect(
-                current.x - self.radius,
-                current.y - self.radius,
-                2 * self.radius + 1,
-                2 * self.radius + 1,
-            )
-            occupied.discard(current)
+            x, y = coords[router_id].tolist()
+            occupied[y, x] = False
+            window = Rect(x - radius, y - radius, side, side)
             try:
                 target = grid.random_free_cell(occupied, rng, within=window)
             except ValueError:
                 # Neighborhood completely full: keep the router in place.
-                target = current
-            occupied.add(target)
-            cells[router_id] = target
-        return Placement.from_cells(grid, cells)
+                target = Point(x, y)
+            occupied[target.y, target.x] = True
+            coords[router_id] = target
+        return Placement(grid, coords)
 
     def __repr__(self) -> str:
         return (
@@ -104,17 +102,17 @@ class ResetMutation(MutationOperator):
 
     def mutate(self, placement: Placement, rng: np.random.Generator) -> Placement:
         grid = placement.grid
-        cells = list(placement.cells)
-        occupied = set(cells)
-        n_resets = min(self.count, len(cells))
-        victims = rng.choice(len(cells), size=n_resets, replace=False)
-        for router_id in victims:
-            router_id = int(router_id)
-            occupied.discard(cells[router_id])
+        coords = placement.coords.copy()
+        occupied = grid.occupancy(coords)
+        n_resets = min(self.count, len(coords))
+        victims = rng.choice(len(coords), size=n_resets, replace=False)
+        for router_id in victims.tolist():
+            x, y = coords[router_id].tolist()
+            occupied[y, x] = False
             target = grid.random_free_cell(occupied, rng)
-            occupied.add(target)
-            cells[router_id] = target
-        return Placement.from_cells(grid, cells)
+            occupied[target.y, target.x] = True
+            coords[router_id] = target
+        return Placement(grid, coords)
 
     def __repr__(self) -> str:
         return f"ResetMutation(count={self.count})"
@@ -165,26 +163,30 @@ class TowardCentroidMutation(MutationOperator):
         positions = placement.positions_array()
         centroid = positions.mean(axis=0)
         router_id = int(rng.integers(0, len(placement)))
-        current = placement[router_id]
+        x, y = placement.coords[router_id].tolist()
         fraction = rng.uniform(0.0, self.max_step_fraction)
-        target_x = current.x + fraction * (centroid[0] - current.x)
-        target_y = current.y + fraction * (centroid[1] - current.y)
+        target_x = x + fraction * (centroid[0] - x)
+        target_y = y + fraction * (centroid[1] - y)
         if self.jitter:
             target_x += rng.integers(-self.jitter, self.jitter + 1)
             target_y += rng.integers(-self.jitter, self.jitter + 1)
         target = grid.bounds.clamped(Point(int(round(target_x)), int(round(target_y))))
-        if target == current:
+        if target == (x, y):
             return placement
-        occupied = set(placement.cells)
-        occupied.discard(current)
-        if target in occupied:
+        occupied = grid.occupancy(placement.coords)
+        occupied[y, x] = False
+        if occupied[target.y, target.x]:
             # Land on the nearest free spot around the intended target.
             window = Rect(target.x - 2, target.y - 2, 5, 5)
             try:
                 target = grid.random_free_cell(occupied, rng, within=window)
             except ValueError:
                 return placement
-        return placement.with_move(router_id, target)
+            if target == (x, y):
+                return placement
+        coords = placement.coords.copy()
+        coords[router_id] = target
+        return Placement(grid, coords)
 
     def __repr__(self) -> str:
         return (

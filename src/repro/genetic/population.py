@@ -23,6 +23,10 @@ class Population:
     """An ordered collection of individuals."""
 
     individuals: list[Individual] = field(default_factory=list)
+    #: Fitness array, cached once every individual is evaluated.
+    _fitness: "np.ndarray | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.individuals:
@@ -54,6 +58,7 @@ class Population:
         pending = [ind for ind in self.individuals if not ind.is_evaluated]
         if not pending:
             return
+        self._fitness = None
         evaluate_many = getattr(evaluator, "evaluate_many", None)
         if evaluate_many is None:
             for individual in pending:
@@ -75,8 +80,7 @@ class Population:
 
     def best(self) -> Individual:
         """The fittest individual (first on ties, deterministic)."""
-        self.require_evaluated()
-        return max(self.individuals, key=lambda ind: ind.fitness)
+        return self.individuals[int(np.argmax(self.fitness_values()))]
 
     def elites(self, count: int) -> list[Individual]:
         """The ``count`` fittest individuals, fittest first."""
@@ -88,15 +92,20 @@ class Population:
 
     def mean_fitness(self) -> float:
         """Average fitness over the population."""
-        self.require_evaluated()
-        return float(
-            np.mean([individual.fitness for individual in self.individuals])
-        )
+        return float(np.mean(self.fitness_values()))
 
     def fitness_values(self) -> np.ndarray:
-        """Fitness of every individual, in population order."""
-        self.require_evaluated()
-        return np.array([individual.fitness for individual in self.individuals])
+        """Fitness of every individual, in population order (read-only).
+
+        Built on the first call after the population is fully evaluated
+        and cached, so selection picks over one array per generation.
+        """
+        if self._fitness is None:
+            self.require_evaluated()
+            values = np.array([ind.fitness for ind in self.individuals])
+            values.setflags(write=False)
+            self._fitness = values
+        return self._fitness
 
     def diversity(self) -> float:
         """Mean pairwise distance between chromosomes (gene-averaged).
@@ -107,21 +116,25 @@ class Population:
         Computed as the average over router ids of the mean pairwise
         Euclidean distance between the routers' cells across individuals.
         """
-        if len(self.individuals) < 2:
+        size = len(self.individuals)
+        if size < 2:
             return 0.0
         # stack: (P, N, 2) — population size x routers x coordinates
-        stack = np.stack(
-            [ind.placement.positions_array() for ind in self.individuals]
-        )
+        stack = np.stack([ind.placement.coords for ind in self.individuals])
+        stack = stack.astype(float)
+        # All pairs i < j in row-major order, then each i's block of
+        # mean distances summed in order (the float sums stay exact).
+        first, second = np.triu_indices(size, 1)
+        dx = stack[second, :, 0] - stack[first, :, 0]
+        dy = stack[second, :, 1] - stack[first, :, 1]
+        means = np.sqrt(dx * dx + dy * dy).mean(axis=1)
         total = 0.0
-        pairs = 0
-        for i in range(len(self.individuals)):
-            deltas = stack[i + 1 :] - stack[i]
-            if deltas.size:
-                distances = np.sqrt((deltas**2).sum(axis=2))
-                total += float(distances.mean(axis=1).sum())
-                pairs += deltas.shape[0]
-        return total / pairs if pairs else 0.0
+        start = 0
+        for i in range(size - 1):
+            stop = start + size - 1 - i
+            total += float(means[start:stop].sum())
+            start = stop
+        return total / len(means)
 
     @classmethod
     def from_placements(cls, placements: Sequence) -> "Population":

@@ -53,10 +53,10 @@ class TournamentSelection(SelectionOperator):
         self.size = size
 
     def select(self, population: Population, rng: np.random.Generator) -> Individual:
-        population.require_evaluated()
+        fitness = population.fitness_values()
         indices = rng.integers(0, len(population), size=self.size)
-        best_index = max(indices, key=lambda i: population[int(i)].fitness)
-        return population[int(best_index)]
+        # argmax keeps the first maximum in draw order, as max() did.
+        return population[int(indices[np.argmax(fitness[indices])])]
 
     def __repr__(self) -> str:
         return f"TournamentSelection(size={self.size})"

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.evaluation import Evaluator
+from repro.core.grid import GridArea
 from repro.core.solution import Placement
 from repro.genetic.individual import Individual
 from repro.genetic.population import Population
@@ -116,3 +121,39 @@ class TestPopulation:
         assert len(population) == 6
         assert population[0] is population.individuals[0]
         assert list(iter(population)) == population.individuals
+
+
+def reference_diversity(population: Population) -> float:
+    """The per-individual loop the vectorised diversity replaced."""
+    stack = np.stack([ind.placement.positions_array() for ind in population])
+    total, pairs = 0.0, 0
+    for i in range(len(population)):
+        deltas = stack[i + 1 :] - stack[i]
+        if deltas.size:
+            distances = np.sqrt((deltas**2).sum(axis=2))
+            total += float(distances.mean(axis=1).sum())
+            pairs += deltas.shape[0]
+    return total / pairs if pairs else 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 30), st.integers(1, 70), st.integers(0, 2**32 - 1))
+def test_diversity_matches_loop_reference(size, n_routers, seed):
+    rng = np.random.default_rng(seed)
+    grid = GridArea(40, 30)
+    population = Population.from_placements(
+        [Placement.random(grid, n_routers, rng) for _ in range(size)]
+    )
+    assert population.diversity() == reference_diversity(population)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=12))
+def test_best_takes_the_first_maximum(values):
+    placement = Placement.random(GridArea(8, 8), 4, np.random.default_rng(0))
+    population = Population(
+        [Individual(placement, SimpleNamespace(fitness=v)) for v in values]
+    )
+    expected = max(population.individuals, key=lambda ind: ind.fitness)
+    assert population.best() is expected
+    assert population.mean_fitness() == float(np.mean(values))

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.evaluation import Evaluator
+from repro.core.grid import GridArea
 from repro.core.solution import Placement
+from repro.genetic.individual import Individual
 from repro.genetic.population import Population
 from repro.genetic.selection import (
     RankSelection,
@@ -113,3 +119,22 @@ class TestRank:
         best_index = order[-1]
         worst_index = order[0]
         assert counts[best_index] > counts[worst_index]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=1, max_size=10),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+)
+def test_tournament_breaks_ties_like_max(values, size, seed):
+    """The first maximum in draw order wins, as ``max()`` chose it."""
+    placement = Placement.random(GridArea(8, 8), 4, np.random.default_rng(0))
+    population = Population(
+        [Individual(placement, SimpleNamespace(fitness=v)) for v in values]
+    )
+    reference_rng = np.random.default_rng(seed)
+    indices = reference_rng.integers(0, len(population), size=size)
+    expected = population[int(max(indices, key=lambda i: values[int(i)]))]
+    chosen = TournamentSelection(size).select(population, np.random.default_rng(seed))
+    assert chosen is expected

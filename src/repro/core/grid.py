@@ -83,10 +83,6 @@ class GridArea:
             raise ValueError(f"cell index {index} out of range")
         return Point(index % self.width, index // self.width)
 
-    def cell_indices(self, coords: np.ndarray) -> np.ndarray:
-        """Row-major linear indices of an ``(N, 2)`` array of in-grid cells."""
-        return coords[:, 1] * self.width + coords[:, 0]
-
     def occupancy(self, cells: "Iterable[Point] | np.ndarray") -> np.ndarray:
         """``(height, width)`` boolean bitmap of the in-grid ``cells``.
 

@@ -29,8 +29,11 @@ __all__ = ["Placement", "has_shared_cells"]
 
 
 def has_shared_cells(grid: GridArea, coords: np.ndarray) -> bool:
-    """Whether two rows of an ``(N, 2)`` array of in-grid cells coincide."""
-    index = np.sort(grid.cell_indices(coords))
+    """Whether two rows of an ``(N, 2)`` array of in-grid cells coincide.
+
+    Compares row-major linear cell indices, so each cell is one integer.
+    """
+    index = np.sort(coords[:, 1] * grid.width + coords[:, 0])
     return bool((index[1:] == index[:-1]).any())
 
 

@@ -122,19 +122,13 @@ class Population:
         # stack: (P, N, 2) — population size x routers x coordinates
         stack = np.stack([ind.placement.coords for ind in self.individuals])
         stack = stack.astype(float)
-        # All pairs i < j in row-major order, then each i's block of
-        # mean distances summed in order (the float sums stay exact).
-        first, second = np.triu_indices(size, 1)
-        dx = stack[second, :, 0] - stack[first, :, 0]
-        dy = stack[second, :, 1] - stack[first, :, 1]
-        means = np.sqrt(dx * dx + dy * dy).mean(axis=1)
+        xs, ys = stack[:, :, 0], stack[:, :, 1]
         total = 0.0
-        start = 0
         for i in range(size - 1):
-            stop = start + size - 1 - i
-            total += float(means[start:stop].sum())
-            start = stop
-        return total / len(means)
+            dx = xs[i + 1 :] - xs[i]
+            dy = ys[i + 1 :] - ys[i]
+            total += float(np.sqrt(dx * dx + dy * dy).mean(axis=1).sum())
+        return total / (size * (size - 1) // 2)
 
     @classmethod
     def from_placements(cls, placements: Sequence) -> "Population":
